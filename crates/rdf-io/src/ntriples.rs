@@ -6,61 +6,172 @@
 //! language-tagged and datatyped literals, `\t \b \n \r \f \" \' \\` string
 //! escapes, `\uXXXX` / `\UXXXXXXXX` numeric escapes (in strings *and* IRIs),
 //! comments, and blank lines. Errors carry line/column positions.
+//!
+//! The lexer scans the bytes of one line and yields term views that borrow
+//! from it; a term's text is copied out only when its spelling holds an
+//! escape. [`parse_graph`] and [`load_path`] intern those views directly
+//! ([`Graph::insert_ref`]), so a load allocates for first-seen terms only:
+//! a term the dictionary already holds costs one hash probe. [`load_path`]
+//! streams the file through one reused line buffer, so the text is never
+//! resident as a whole. [`parse_line`] and [`parse_statements`] run the
+//! same lexer and return owned terms.
 
-use crate::error::{ParseError, ParseErrorKind};
-use rdf_model::{Graph, Term};
+use crate::error::{LoadError, ParseError, ParseErrorKind};
+use rdf_model::{Graph, LiteralKindRef, Term, TermRef};
+use std::borrow::Cow;
+use std::io::BufRead;
 
 /// A single parsed (but not yet dictionary-encoded) triple.
 pub type TermTriple = (Term, Term, Term);
 
-struct Cursor {
-    chars: Vec<char>,
+/// One lexed term, borrowing from the input line. A string is owned only
+/// when its spelling contained an escape.
+enum Lexed<'a> {
+    Iri(Cow<'a, str>),
+    Blank(&'a str),
+    Literal(Cow<'a, str>, LexedKind<'a>),
+}
+
+enum LexedKind<'a> {
+    Simple,
+    Lang(&'a str),
+    Typed(Cow<'a, str>),
+}
+
+type LexedTriple<'a> = (Lexed<'a>, Lexed<'a>, Lexed<'a>);
+
+impl Lexed<'_> {
+    fn view(&self) -> TermRef<'_> {
+        match self {
+            Lexed::Iri(s) => TermRef::Iri(s),
+            Lexed::Blank(l) => TermRef::Blank(l),
+            Lexed::Literal(lexical, kind) => TermRef::Literal {
+                lexical,
+                kind: match kind {
+                    LexedKind::Simple => LiteralKindRef::Simple,
+                    LexedKind::Lang(l) => LiteralKindRef::Lang(l),
+                    LexedKind::Typed(d) => LiteralKindRef::Typed(d),
+                },
+            },
+        }
+    }
+
+    fn into_term(self) -> Term {
+        match self {
+            Lexed::Iri(s) => Term::Iri(s.into_owned()),
+            Lexed::Blank(l) => Term::blank(l),
+            Lexed::Literal(lexical, LexedKind::Simple) => Term::literal(lexical),
+            Lexed::Literal(lexical, LexedKind::Lang(l)) => Term::lang_literal(lexical, l),
+            Lexed::Literal(lexical, LexedKind::Typed(d)) => Term::typed_literal(lexical, d),
+        }
+    }
+}
+
+fn into_terms((s, p, o): LexedTriple<'_>) -> TermTriple {
+    (s.into_term(), p.into_term(), o.into_term())
+}
+
+/// A byte set, as a lookup table.
+type ByteSet = [bool; 256];
+
+const fn byte_set(controls: bool, members: &[u8]) -> ByteSet {
+    let mut set = [false; 256];
+    let mut b = 0;
+    while controls && b <= 0x20 {
+        set[b] = true;
+        b += 1;
+    }
+    let mut i = 0;
+    while i < members.len() {
+        set[members[i] as usize] = true;
+        i += 1;
+    }
+    set
+}
+
+/// Bytes that end a run of plain IRI text: the closing `>`, an escape,
+/// and everything the grammar forbids in an IRI reference. All are ASCII,
+/// so a run always ends on a character boundary.
+static IRI_STOP: ByteSet = byte_set(true, b"<>\"{}|^`\\");
+/// Bytes that end a run of plain string-literal text.
+static STRING_STOP: ByteSet = byte_set(false, b"\"\\");
+
+/// A lexer over one line. `pos` is a byte offset; columns in errors are
+/// character offsets, computed only when an error is built.
+struct Lexer<'a> {
+    text: &'a str,
     pos: usize,
     line: usize,
 }
 
-impl Cursor {
-    fn new(line_text: &str, line: usize) -> Self {
-        Cursor {
-            chars: line_text.chars().collect(),
-            pos: 0,
-            line,
-        }
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str, line: usize) -> Self {
+        Lexer { text, pos: 0, line }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
+    fn bump(&mut self) -> Option<u8> {
+        let b = self.peek();
+        if b.is_some() {
             self.pos += 1;
         }
+        b
+    }
+
+    fn peek_char(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.peek_char();
+        self.pos += c.map_or(0, char::len_utf8);
         c
     }
 
     fn err(&self, kind: ParseErrorKind) -> ParseError {
+        // Count the characters before `pos`: every byte but UTF-8
+        // continuation bytes (0b10xx_xxxx) starts one.
+        let chars = self.text.as_bytes()[..self.pos]
+            .iter()
+            .filter(|&&b| (b as i8) >= -0x40)
+            .count();
         ParseError {
             line: self.line,
-            column: self.pos + 1,
+            column: chars + 1,
             kind,
         }
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ') | Some('\t')) {
+        while matches!(self.peek(), Some(b' ' | b'\t')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char, what: &'static str) -> Result<(), ParseError> {
-        if self.bump() == Some(c) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.err(ParseErrorKind::Expected(what)))
+    fn expect(&mut self, b: u8, what: &'static str) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            return Ok(());
         }
+        let mut e = self.err(ParseErrorKind::Expected(what));
+        if self.pos == self.text.len() {
+            // At the end of the line the column names its last character.
+            e.column = (e.column - 1).max(1);
+        }
+        Err(e)
+    }
+
+    /// Skips a run of bytes outside `stop` and returns it.
+    fn run(&mut self, stop: &ByteSet) -> &'a str {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        while self.pos < bytes.len() && !stop[bytes[self.pos] as usize] {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
     }
 
     /// Parses `\uXXXX` or `\UXXXXXXXX` after the backslash+u/U were consumed.
@@ -68,7 +179,7 @@ impl Cursor {
         let mut value: u32 = 0;
         for _ in 0..digits {
             let c = self
-                .bump()
+                .bump_char()
                 .ok_or_else(|| self.err(ParseErrorKind::UnexpectedEof))?;
             let d = c
                 .to_digit(16)
@@ -78,178 +189,181 @@ impl Cursor {
         char::from_u32(value).ok_or_else(|| self.err(ParseErrorKind::BadCodepoint(value)))
     }
 
-    fn iri_ref(&mut self) -> Result<String, ParseError> {
-        self.expect('<', "`<` starting an IRI reference")?;
-        let mut out = String::new();
+    /// Decodes the escape after a `\`. Strings allow the character escapes;
+    /// IRIs only the numeric ones.
+    fn escape(&mut self, string: bool) -> Result<char, ParseError> {
+        match self.bump_char() {
+            Some('u') => self.numeric_escape(4),
+            Some('U') => self.numeric_escape(8),
+            Some(c) if string => match c {
+                't' => Ok('\t'),
+                'b' => Ok('\u{8}'),
+                'n' => Ok('\n'),
+                'r' => Ok('\r'),
+                'f' => Ok('\u{c}'),
+                '"' | '\'' | '\\' => Ok(c),
+                _ => Err(self.err(ParseErrorKind::BadEscape(c.to_string()))),
+            },
+            Some(c) => Err(self.err(ParseErrorKind::BadEscape(c.to_string()))),
+            None => Err(self.err(ParseErrorKind::UnexpectedEof)),
+        }
+    }
+
+    /// Lexes the rest of a string literal (`string`) or IRI reference after
+    /// its opening delimiter, through the closing one. The text is borrowed
+    /// from the line unless it holds an escape.
+    fn delimited(&mut self, string: bool) -> Result<Cow<'a, str>, ParseError> {
+        let (stop, close) = if string {
+            (&STRING_STOP, b'"')
+        } else {
+            (&IRI_STOP, b'>')
+        };
+        let mut owned: Option<String> = None;
         loop {
+            let run = self.run(stop);
             match self.bump() {
-                None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                Some('>') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('u') => out.push(self.numeric_escape(4)?),
-                    Some('U') => out.push(self.numeric_escape(8)?),
-                    Some(c) => return Err(self.err(ParseErrorKind::BadEscape(c.to_string()))),
-                    None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                },
-                Some(c) if (c as u32) <= 0x20 || "<\"{}|^`".contains(c) => {
-                    return Err(self.err(ParseErrorKind::InvalidIriChar(c)))
+                Some(b) if b == close => {
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    })
                 }
-                Some(c) => out.push(c),
+                Some(b'\\') => {
+                    let c = self.escape(string)?;
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(c);
+                }
+                // Only IRIs have forbidden bytes, all of them ASCII.
+                Some(b) => return Err(self.err(ParseErrorKind::InvalidIriChar(b as char))),
+                None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
             }
         }
     }
 
-    fn blank_node(&mut self) -> Result<String, ParseError> {
-        self.expect('_', "`_:` starting a blank node label")?;
-        self.expect(':', "`:` after `_` in a blank node label")?;
-        let mut label = String::new();
+    fn iri(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.expect(b'<', "`<` starting an IRI reference")?;
+        self.delimited(false)
+    }
+
+    fn blank_node(&mut self) -> Result<&'a str, ParseError> {
+        self.expect(b'_', "`_:` starting a blank node label")?;
+        self.expect(b':', "`:` after `_` in a blank node label")?;
+        let start = self.pos;
         // First char: PN_CHARS_U | [0-9]; we accept the common subset
         // (alphanumerics plus underscore) and extend with `-`/`.` inside.
-        match self.peek() {
-            Some(c) if c.is_alphanumeric() || c == '_' => {
-                label.push(c);
-                self.pos += 1;
-            }
-            _ => {
-                return Err(self.err(ParseErrorKind::BadBlankNode(label)));
-            }
+        match self.peek_char() {
+            Some(c) if c.is_alphanumeric() || c == '_' => self.pos += c.len_utf8(),
+            _ => return Err(self.err(ParseErrorKind::BadBlankNode(String::new()))),
         }
-        while let Some(c) = self.peek() {
+        while let Some(c) = self.peek_char() {
             if c.is_alphanumeric() || c == '_' || c == '-' || c == '.' {
-                label.push(c);
-                self.pos += 1;
+                self.pos += c.len_utf8();
             } else {
                 break;
             }
         }
         // A label must not end with `.` (the `.` then terminates the triple).
-        while label.ends_with('.') {
-            label.pop();
-            self.pos -= 1;
-        }
-        if label.is_empty() {
-            return Err(self.err(ParseErrorKind::BadBlankNode(label)));
-        }
+        let label = self.text[start..self.pos].trim_end_matches('.');
+        self.pos = start + label.len();
         Ok(label)
     }
 
-    fn string_literal(&mut self) -> Result<String, ParseError> {
-        self.expect('"', "`\"` starting a literal")?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('t') => out.push('\t'),
-                    Some('b') => out.push('\u{8}'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('f') => out.push('\u{c}'),
-                    Some('"') => out.push('"'),
-                    Some('\'') => out.push('\''),
-                    Some('\\') => out.push('\\'),
-                    Some('u') => out.push(self.numeric_escape(4)?),
-                    Some('U') => out.push(self.numeric_escape(8)?),
-                    Some(c) => return Err(self.err(ParseErrorKind::BadEscape(c.to_string()))),
-                    None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    fn lang_tag(&mut self) -> Result<String, ParseError> {
-        // `@` already consumed by caller.
-        let mut tag = String::new();
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphabetic()
-                || (c == '-' && !tag.is_empty())
-                || (c.is_ascii_digit() && tag.contains('-'))
+    fn lang_tag(&mut self) -> Result<&'a str, ParseError> {
+        // `@` already consumed by caller. Digits are accepted only after
+        // a `-`, so the primary subtag is alphabetic.
+        let start = self.pos;
+        let mut subtag = false;
+        while let Some(b) = self.peek() {
+            if b.is_ascii_alphabetic()
+                || (b == b'-' && self.pos > start)
+                || (b.is_ascii_digit() && subtag)
             {
-                tag.push(c);
+                subtag |= b == b'-';
                 self.pos += 1;
             } else {
                 break;
             }
         }
-        let ok = !tag.is_empty()
-            && !tag.starts_with('-')
-            && !tag.ends_with('-')
-            && !tag.contains("--")
-            && tag
-                .split('-')
-                .next()
-                .is_some_and(|h| h.chars().all(|c| c.is_ascii_alphabetic()));
-        if ok {
-            Ok(tag)
+        let tag = &self.text[start..self.pos];
+        if tag.is_empty() || tag.ends_with('-') || tag.contains("--") {
+            Err(self.err(ParseErrorKind::BadLangTag(tag.to_owned())))
         } else {
-            Err(self.err(ParseErrorKind::BadLangTag(tag)))
+            Ok(tag)
         }
     }
 
-    fn literal(&mut self) -> Result<Term, ParseError> {
-        let lexical = self.string_literal()?;
-        match self.peek() {
-            Some('@') => {
+    fn literal(&mut self) -> Result<Lexed<'a>, ParseError> {
+        self.expect(b'"', "`\"` starting a literal")?;
+        let lexical = self.delimited(true)?;
+        let kind = match self.peek() {
+            Some(b'@') => {
                 self.pos += 1;
-                let tag = self.lang_tag()?;
-                Ok(Term::lang_literal(lexical, tag))
+                LexedKind::Lang(self.lang_tag()?)
             }
-            Some('^') => {
+            Some(b'^') => {
                 self.pos += 1;
-                self.expect('^', "`^^` before a datatype IRI")?;
-                let dt = self.iri_ref()?;
-                Ok(Term::typed_literal(lexical, dt))
+                self.expect(b'^', "`^^` before a datatype IRI")?;
+                LexedKind::Typed(self.iri()?)
             }
-            _ => Ok(Term::literal(lexical)),
+            _ => LexedKind::Simple,
+        };
+        Ok(Lexed::Literal(lexical, kind))
+    }
+
+    /// An IRI or blank node, or a literal too when `literal` is set.
+    fn term(&mut self, literal: bool, what: &'static str) -> Result<Lexed<'a>, ParseError> {
+        match self.peek() {
+            Some(b'<') => Ok(Lexed::Iri(self.iri()?)),
+            Some(b'_') => Ok(Lexed::Blank(self.blank_node()?)),
+            Some(b'"') if literal => self.literal(),
+            _ => Err(self.err(ParseErrorKind::Expected(what))),
         }
     }
 
-    fn subject(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(self.iri_ref()?)),
-            Some('_') => Ok(Term::Blank(self.blank_node()?)),
-            _ => Err(self.err(ParseErrorKind::Expected("an IRI or blank node subject"))),
-        }
+    /// Skips blanks; true when the rest of the line is empty or a comment.
+    fn at_end(&mut self) -> bool {
+        self.skip_ws();
+        matches!(self.peek(), None | Some(b'#'))
     }
 
-    fn object(&mut self) -> Result<Term, ParseError> {
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(self.iri_ref()?)),
-            Some('_') => Ok(Term::Blank(self.blank_node()?)),
-            Some('"') => self.literal(),
-            _ => Err(self.err(ParseErrorKind::Expected(
-                "an IRI, blank node, or literal object",
-            ))),
-        }
+    /// Lexes `subject predicate object .` at the current position.
+    fn statement(&mut self) -> Result<LexedTriple<'a>, ParseError> {
+        let s = self.term(false, "an IRI or blank node subject")?;
+        self.skip_ws();
+        let p = match self.peek() {
+            Some(b'<') => Lexed::Iri(self.iri()?),
+            _ => return Err(self.err(ParseErrorKind::Expected("an IRI predicate"))),
+        };
+        self.skip_ws();
+        let o = self.term(true, "an IRI, blank node, or literal object")?;
+        self.skip_ws();
+        self.expect(b'.', "the terminating `.`")?;
+        Ok((s, p, o))
+    }
+}
+
+/// Lexes one line: `Ok(None)` for blank lines and comment lines.
+fn lex_line(text: &str, line: usize) -> Result<Option<LexedTriple<'_>>, ParseError> {
+    let mut lx = Lexer::new(text, line);
+    if lx.at_end() {
+        return Ok(None);
+    }
+    let t = lx.statement()?;
+    if lx.at_end() {
+        Ok(Some(t))
+    } else {
+        Err(lx.err(ParseErrorKind::TrailingContent))
     }
 }
 
 /// Parses one line of N-Triples. Returns `Ok(None)` for blank lines and
 /// comment lines.
 pub fn parse_line(text: &str, line: usize) -> Result<Option<TermTriple>, ParseError> {
-    let mut c = Cursor::new(text, line);
-    c.skip_ws();
-    match c.peek() {
-        None | Some('#') => return Ok(None),
-        _ => {}
-    }
-    let s = c.subject()?;
-    c.skip_ws();
-    let p = match c.peek() {
-        Some('<') => Term::Iri(c.iri_ref()?),
-        _ => return Err(c.err(ParseErrorKind::Expected("an IRI predicate"))),
-    };
-    c.skip_ws();
-    let o = c.object()?;
-    c.skip_ws();
-    c.expect('.', "the terminating `.`")?;
-    c.skip_ws();
-    match c.peek() {
-        None | Some('#') => Ok(Some((s, p, o))),
-        Some(_) => Err(c.err(ParseErrorKind::TrailingContent)),
-    }
+    Ok(lex_line(text, line)?.map(into_terms))
 }
 
 /// Parses a *sequence* of N-Triples statements packed onto a single line
@@ -258,26 +372,12 @@ pub fn parse_line(text: &str, line: usize) -> Result<Option<TermTriple>, ParseEr
 /// `#`-comment is allowed; an empty or comment-only payload yields an
 /// empty vector.
 pub fn parse_statements(text: &str) -> Result<Vec<TermTriple>, ParseError> {
-    let mut c = Cursor::new(text, 1);
+    let mut lx = Lexer::new(text, 1);
     let mut out = Vec::new();
-    loop {
-        c.skip_ws();
-        match c.peek() {
-            None | Some('#') => return Ok(out),
-            _ => {}
-        }
-        let s = c.subject()?;
-        c.skip_ws();
-        let p = match c.peek() {
-            Some('<') => Term::Iri(c.iri_ref()?),
-            _ => return Err(c.err(ParseErrorKind::Expected("an IRI predicate"))),
-        };
-        c.skip_ws();
-        let o = c.object()?;
-        c.skip_ws();
-        c.expect('.', "the terminating `.`")?;
-        out.push((s, p, o));
+    while !lx.at_end() {
+        out.push(into_terms(lx.statement()?));
     }
+    Ok(out)
 }
 
 /// Parses a whole N-Triples document into term triples.
@@ -289,6 +389,19 @@ pub fn parse_str(input: &str) -> Result<Vec<TermTriple>, ParseError> {
         }
     }
     Ok(out)
+}
+
+/// Lexes one line into `g`, interning its terms from their views.
+fn insert_line(g: &mut Graph, text: &str, line: usize) -> Result<(), ParseError> {
+    if let Some((s, p, o)) = lex_line(text, line)? {
+        g.insert_ref(s.view(), p.view(), o.view())
+            .map_err(|e| ParseError {
+                line,
+                column: 1,
+                kind: ParseErrorKind::Model(e.to_string()),
+            })?;
+    }
+    Ok(())
 }
 
 /// Parses an N-Triples document directly into a [`Graph`], dictionary-encoding
@@ -305,21 +418,34 @@ pub fn parse_str(input: &str) -> Result<Vec<TermTriple>, ParseError> {
 pub fn parse_graph(input: &str) -> Result<Graph, ParseError> {
     let mut g = Graph::new();
     for (i, line) in input.lines().enumerate() {
-        if let Some((s, p, o)) = parse_line(line, i + 1)? {
-            g.insert(s, p, o).map_err(|e| ParseError {
-                line: i + 1,
-                column: 1,
-                kind: ParseErrorKind::Model(e.to_string()),
-            })?;
-        }
+        insert_line(&mut g, line, i + 1)?;
     }
     Ok(g)
 }
 
-/// Loads a graph from an N-Triples file on disk.
-pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Graph, crate::error::LoadError> {
-    let text = std::fs::read_to_string(path)?;
-    Ok(parse_graph(&text)?)
+/// Loads a graph from an N-Triples file on disk, reading it line by line.
+///
+/// Lines split as [`str::lines`] splits them (`\n` or `\r\n`; the last
+/// line needs no terminator), so the result equals [`parse_graph`] on the
+/// file's text. A line that is not valid UTF-8 is an I/O error
+/// ([`std::io::ErrorKind::InvalidData`]).
+pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Graph, LoadError> {
+    let mut reader = std::io::BufReader::with_capacity(1 << 16, std::fs::File::open(path)?);
+    let mut g = Graph::new();
+    let mut buf = String::new();
+    let mut line = 0;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return Ok(g);
+        }
+        line += 1;
+        let text = match buf.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => &buf,
+        };
+        insert_line(&mut g, text, line)?;
+    }
 }
 
 #[cfg(test)]
@@ -634,5 +760,93 @@ mod tests {
         let e = parse_line("<s:a> <p:b> <o:c> . junk", 1).unwrap_err();
         assert_eq!(e.kind, ParseErrorKind::TrailingContent);
         assert!(e.column >= 21, "column {}", e.column);
+    }
+
+    #[test]
+    fn error_columns_count_characters_not_bytes() {
+        // `é` and `😀` take 2 and 4 bytes; the column is still the 1-based
+        // character offset of the error.
+        let e = parse_line(r#"<s:é> <p:b> "😀" . junk"#, 1).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TrailingContent);
+        assert_eq!(e.column, 19);
+        let e = parse_line("<s:é> <p:b> <o:😀 x> .", 1).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::InvalidIriChar(' '));
+        assert_eq!(e.column, 18);
+        // A missing terminator names the last character of the line.
+        let e = parse_line("<s:é> <p:b> \"é\"", 1).unwrap_err();
+        assert!(matches!(e.kind, ParseErrorKind::Expected(_)));
+        assert_eq!(e.column, 15);
+    }
+
+    #[test]
+    fn escaped_and_plain_spellings_intern_to_one_id() {
+        let g = parse_graph(
+            "<http://x/\\u0041> <p:b> \"caf\\u00E9\" .\n\
+             <http://x/A> <p:b> \"café\" .\n\
+             <http://x/A> <p:b> \"x\\U0001F600\"@en .\n\
+             <http://x/A> <p:b> \"x😀\"@en .\n\
+             <http://x/A> <p:b> \"\\u0031\"^^<http://dt/\\u0069nt> .\n\
+             <http://x/A> <p:b> \"1\"^^<http://dt/int> .\n",
+        )
+        .unwrap();
+        assert_eq!(g.len(), 3);
+        let d = g.dict();
+        let a = d.lookup(&Term::iri("http://x/A")).unwrap();
+        assert!(g.data().iter().all(|t| t.s == a));
+        assert!(d.lookup(&Term::literal("café")).is_some());
+        assert!(d.lookup(&Term::lang_literal("x😀", "en")).is_some());
+        assert!(d
+            .lookup(&Term::typed_literal("1", "http://dt/int"))
+            .is_some());
+    }
+
+    #[test]
+    fn blank_label_ending_in_dot_before_terminator() {
+        let t = parse_line("<s:a> <p:b> _:b1.", 1).unwrap().unwrap();
+        assert_eq!(t.2, Term::blank("b1"));
+        let t = parse_line("_:x.y <p:b> _:b.c.", 1).unwrap().unwrap();
+        assert_eq!((t.0, t.2), (Term::blank("x.y"), Term::blank("b.c")));
+    }
+
+    /// Writes `bytes` to a fresh file and loads it with [`load_path`].
+    fn load_bytes(tag: &str, bytes: &[u8]) -> Result<Graph, LoadError> {
+        let path = std::env::temp_dir().join(format!("rdfio_{tag}_{}.nt", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let g = load_path(&path);
+        std::fs::remove_file(&path).unwrap();
+        g
+    }
+
+    #[test]
+    fn load_path_handles_crlf_line_ends() {
+        let g = load_bytes(
+            "crlf",
+            b"<s:a> <p:b> <o:c> .\r\n\r\n<s:d> <p:b> \"x\" .\r\n",
+        )
+        .unwrap();
+        assert_eq!(g.len(), 2);
+        assert!(g.dict().lookup(&Term::literal("x")).is_some());
+    }
+
+    #[test]
+    fn load_path_reads_a_last_line_without_newline() {
+        let g = load_bytes("nonl", b"<s:a> <p:b> <o:c> .\n<s:d> <p:b> <o:c> .").unwrap();
+        assert_eq!(g.len(), 2);
+        // A lone `\r` at the very end is not a line end: trailing content.
+        match load_bytes("nonl_cr", b"<s:a> <p:b> <o:c> .\n<s:d> <p:b> <o:c> .\r") {
+            Err(LoadError::Parse(e)) => {
+                assert_eq!((e.line, e.kind), (2, ParseErrorKind::TrailingContent))
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_path_rejects_invalid_utf8() {
+        let e = load_bytes("utf8", b"<s:a> <p:b> <o:c> .\n<s:\xff> <p:b> <o:c> .\n").unwrap_err();
+        match e {
+            LoadError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            other => panic!("expected an I/O error, got {other:?}"),
+        }
     }
 }

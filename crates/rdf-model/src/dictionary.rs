@@ -7,11 +7,58 @@
 //! processing time and memory." Here the dictionary is an in-memory interner;
 //! ids are dense (`0..len`), assigned in first-seen order, so algorithms can
 //! allocate `Vec`-based side tables indexed by id.
+//!
+//! Terms can be interned from a borrowed [`TermRef`] view
+//! ([`Dictionary::encode_ref`]): a term already in the dictionary costs one
+//! hash probe and no allocation, so a loader owns a copy of each distinct
+//! term once, however often it occurs.
 
 use crate::hash::FxHashMap;
 use crate::ids::TermId;
-use crate::term::{SharedTerm, Term};
+use crate::term::{SharedTerm, Term, TermRef};
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// Anything that can present itself as a [`TermRef`]: the common key type
+/// through which the reverse map, keyed by owned `Arc<Term>`, is probed
+/// with a borrowed view. Hash and equality are defined once, on the view.
+trait TermKey {
+    fn key(&self) -> TermRef<'_>;
+}
+
+impl TermKey for Term {
+    fn key(&self) -> TermRef<'_> {
+        self.view()
+    }
+}
+
+impl TermKey for TermRef<'_> {
+    fn key(&self) -> TermRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn TermKey + 'a> for SharedTerm {
+    fn borrow(&self) -> &(dyn TermKey + 'a) {
+        &**self
+    }
+}
+
+/// Agrees with `Hash for Term`, which also hashes the view.
+impl Hash for dyn TermKey + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key().hash(state)
+    }
+}
+
+impl PartialEq for dyn TermKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for dyn TermKey + '_ {}
 
 /// Interns RDF terms, assigning each distinct term a dense [`TermId`].
 #[derive(Default, Clone, Debug)]
@@ -37,14 +84,20 @@ impl Dictionary {
     /// Interns `term`, returning its id (allocating a fresh id for unseen
     /// terms). The term's string data is stored once and shared.
     pub fn encode(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.reverse.get(&term) {
-            return id;
+        match self.reverse.get(&term) {
+            Some(&id) => id,
+            None => self.push(Arc::new(term)),
         }
-        let id = TermId::from_index(self.forward.len());
-        let shared: SharedTerm = Arc::new(term);
-        self.forward.push(Arc::clone(&shared));
-        self.reverse.insert(shared, id);
-        id
+    }
+
+    /// Interns a borrowed view of a term, returning its id. The term's
+    /// strings are copied only when it is not interned yet; a known term
+    /// costs one hash probe and no allocation.
+    pub fn encode_ref(&mut self, term: TermRef<'_>) -> TermId {
+        match self.reverse.get(&term as &dyn TermKey) {
+            Some(&id) => id,
+            None => self.push(Arc::new(term.to_term())),
+        }
     }
 
     /// Interns an already-shared term, returning its id. Unlike
@@ -52,9 +105,14 @@ impl Dictionary {
     /// the `Arc` itself is stored — which is how summary emission
     /// transfers constants between dictionaries without string round-trips.
     pub fn encode_shared(&mut self, term: SharedTerm) -> TermId {
-        if let Some(&id) = self.reverse.get(&term) {
-            return id;
+        match self.reverse.get(&term) {
+            Some(&id) => id,
+            None => self.push(term),
         }
+    }
+
+    /// Appends a term known to be absent, assigning it the next id.
+    fn push(&mut self, term: SharedTerm) -> TermId {
         let id = TermId::from_index(self.forward.len());
         self.forward.push(Arc::clone(&term));
         self.reverse.insert(term, id);
@@ -187,6 +245,26 @@ mod tests {
         assert_ne!(simple, lang);
         assert_ne!(simple, typed);
         assert_ne!(lang, typed);
+    }
+
+    #[test]
+    fn views_intern_to_the_owned_terms_ids() {
+        let mut d = Dictionary::new();
+        let terms = [
+            Term::iri("http://x/a"),
+            Term::blank("http://x/a"),
+            Term::literal("http://x/a"),
+            Term::lang_literal("a", "en"),
+            Term::typed_literal("a", "en"),
+        ];
+        let ids: Vec<_> = terms.iter().map(|t| d.encode_ref(t.view())).collect();
+        assert_eq!(d.len(), terms.len());
+        for (t, id) in terms.iter().zip(&ids) {
+            assert_eq!(d.encode(t.clone()), *id);
+            assert_eq!(d.encode_ref(t.view()), *id);
+            assert_eq!(d.decode(*id), t);
+        }
+        assert_eq!(d.len(), terms.len());
     }
 
     #[test]

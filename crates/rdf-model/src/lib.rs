@@ -46,7 +46,7 @@ pub use namespaces::PrefixMap;
 pub use profile::{Profile, PropertyUsage};
 pub use rng::SplitMix64;
 pub use stats::{distinct_counts, distinct_counts_dense, DistinctCounts, GraphStats};
-pub use term::{LiteralKind, SharedTerm, Term};
+pub use term::{LiteralKind, LiteralKindRef, SharedTerm, Term, TermRef};
 pub use triple::Triple;
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! positional discipline is enforced by the graph layer, not here.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The kind of an RDF literal.
@@ -33,7 +34,7 @@ pub enum LiteralKind {
 /// expected ([`Term::is_iri`], [`Term::as_iri`], `Display`, serialization),
 /// but its equality/hash identity is the interned key, not the rendered
 /// string.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Term {
     /// An IRI (we keep the common "URI" terminology of the paper in docs).
     Iri(String),
@@ -121,6 +122,102 @@ impl Term {
     pub fn valid_property(&self) -> bool {
         self.is_iri()
     }
+
+    /// A borrowed view of this term.
+    pub fn view(&self) -> TermRef<'_> {
+        match self {
+            Term::Iri(s) => TermRef::Iri(s),
+            Term::Blank(l) => TermRef::Blank(l),
+            Term::Literal { lexical, kind } => TermRef::Literal {
+                lexical,
+                kind: match kind {
+                    LiteralKind::Simple => LiteralKindRef::Simple,
+                    LiteralKind::Lang(l) => LiteralKindRef::Lang(l),
+                    LiteralKind::Typed(d) => LiteralKindRef::Typed(d),
+                },
+            },
+            Term::Minted(m) => TermRef::Minted(m),
+        }
+    }
+}
+
+/// A term hashes as its [`TermRef`] view, so an owned term and a borrowed
+/// view of the same term always hash alike (the dictionary looks terms up
+/// by view; see [`crate::Dictionary::encode_ref`]).
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.view().hash(state)
+    }
+}
+
+/// A borrowed view of a [`Term`]: the same variants, with `&str` in place
+/// of every `String`. Parsers build views over their input and intern them
+/// with [`crate::Dictionary::encode_ref`], which owns a copy only for a
+/// term it has not seen before.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum TermRef<'a> {
+    /// An IRI.
+    Iri(&'a str),
+    /// A blank node label (without the `_:` prefix).
+    Blank(&'a str),
+    /// A literal value.
+    Literal {
+        /// The lexical form, unescaped.
+        lexical: &'a str,
+        /// Simple, language-tagged, or datatyped.
+        kind: LiteralKindRef<'a>,
+    },
+    /// A minted summary node URI.
+    Minted(&'a crate::minted::MintedTerm),
+}
+
+/// The borrowed form of [`LiteralKind`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum LiteralKindRef<'a> {
+    /// A simple literal.
+    Simple,
+    /// A language-tagged string; the payload is the tag.
+    Lang(&'a str),
+    /// A typed literal; the payload is the datatype IRI.
+    Typed(&'a str),
+}
+
+impl<'a> TermRef<'a> {
+    /// An owned copy of the viewed term.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(s) => Term::Iri(s.to_owned()),
+            TermRef::Blank(l) => Term::Blank(l.to_owned()),
+            TermRef::Literal { lexical, kind } => Term::Literal {
+                lexical: lexical.to_owned(),
+                kind: match kind {
+                    LiteralKindRef::Simple => LiteralKind::Simple,
+                    LiteralKindRef::Lang(l) => LiteralKind::Lang(l.to_owned()),
+                    LiteralKindRef::Typed(d) => LiteralKind::Typed(d.to_owned()),
+                },
+            },
+            TermRef::Minted(m) => Term::Minted(m.clone()),
+        }
+    }
+
+    /// Is the viewed term a literal?
+    pub fn is_literal(self) -> bool {
+        matches!(self, TermRef::Literal { .. })
+    }
+
+    /// Is the viewed term an IRI (minted summary terms included)?
+    pub fn is_iri(self) -> bool {
+        matches!(self, TermRef::Iri(_) | TermRef::Minted(_))
+    }
+
+    /// The IRI string, if the viewed term is an IRI (see [`Term::as_iri`]).
+    pub fn as_iri(self) -> Option<&'a str> {
+        match self {
+            TermRef::Iri(s) => Some(s),
+            TermRef::Minted(m) => Some(m.uri()),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Term {
@@ -182,6 +279,22 @@ mod tests {
             Term::typed_literal("a", "http://www.w3.org/2001/XMLSchema#string")
         );
         assert_ne!(Term::iri("a"), Term::blank("a"));
+    }
+
+    #[test]
+    fn views_round_trip_and_hash_like_their_terms() {
+        use std::hash::BuildHasher;
+        let fx = crate::FxBuildHasher::default();
+        for t in [
+            Term::iri("http://x/a"),
+            Term::blank("b"),
+            Term::literal("a"),
+            Term::lang_literal("a", "en"),
+            Term::typed_literal("a", "http://x/dt"),
+        ] {
+            assert_eq!(t.view().to_term(), t);
+            assert_eq!(fx.hash_one(&t), fx.hash_one(t.view()));
+        }
     }
 
     #[test]

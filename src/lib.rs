@@ -72,6 +72,19 @@
 //! running benches appends one JSON line per measurement (how
 //! `BENCH_baseline.json` is produced).
 //!
+//! ## Loading N-Triples
+//!
+//! [`rdf_io::load_path`] streams a file through one reused line buffer,
+//! so its text is never resident as a whole. Each line is lexed over its
+//! bytes into term views that borrow from the line; a term's text is
+//! copied out only when its spelling holds an escape. The views are
+//! interned through [`rdf_model::Graph::insert_ref`]: a term the
+//! dictionary already holds costs one hash probe and no allocation, so a
+//! load allocates for first-seen terms only. [`rdf_io::parse_graph`]
+//! runs the same path over a string, and the line-by-line
+//! [`rdf_io::parse_line`] + [`rdf_model::Graph::insert`] loop builds the
+//! same graph, down to dictionary ids.
+//!
 //! ## Serving
 //!
 //! `rdfsummary serve --addr HOST:PORT --threads N` starts the long-running

@@ -16,7 +16,12 @@ fn workdir() -> PathBuf {
 fn sample_file(dir: &std::path::Path) -> PathBuf {
     let path = dir.join("sample.nt");
     let g = rdfsummary::rdfsum_core::fixtures::sample_graph();
-    rdfsummary::rdf_io::save_path(&g, &path).unwrap();
+    // Tests run in parallel and all rewrite this file: write a private
+    // copy and rename it into place, so that a CLI run reading it never
+    // sees a half-written file.
+    let tmp = dir.join(format!("sample.nt.{:?}", std::thread::current().id()));
+    rdfsummary::rdf_io::save_path(&g, &tmp).unwrap();
+    std::fs::rename(&tmp, &path).unwrap();
     path
 }
 
